@@ -11,7 +11,7 @@ Subcommands:
   canonical proof envelope, ``--registry DIR`` to publish the
   verifying key).
 - ``zkml verify``                       — verify a saved proof artifact
-  (``--artifact``) or a raw ``zkml-proof-envelope/v1`` (``--envelope``,
+  (``--artifact``) or a raw ``zkml-proof-envelope/v2`` (``--envelope``,
   resolving the verifying key through ``--registry``); exit 3 = the
   envelope's key is absent from the registry.
 - ``zkml registry publish|list|check``  — the content-addressed,
@@ -251,7 +251,7 @@ def _cmd_prove(args) -> int:
         with open(args.out, "wb") as f:
             pickle.dump(
                 {"vk": result.vk, "proof": result.proof,
-                 "proof_bytes": proof_to_bytes(result.proof),
+                 "proof_bytes": envelope.proof_bytes,
                  "envelope": envelope.encode(),
                  "instance": result.instance,
                  "scheme": result.scheme_name}, f,
@@ -1087,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--out", default=None, help="artifact output path")
     prove.add_argument("--envelope", default=None, metavar="PATH",
                        help="also write the canonical proof envelope "
-                            "(zkml-proof-envelope/v1 bytes) to PATH")
+                            "(zkml-proof-envelope/v2 bytes) to PATH")
     prove.add_argument("--registry", default=None, metavar="DIR",
                        help="publish the verifying key into this registry "
                             "after proving")
@@ -1196,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_src.add_argument("--artifact",
                             help="prove artifact pickle (zkml prove --out)")
     verify_src.add_argument("--envelope", metavar="PATH",
-                            help="raw zkml-proof-envelope/v1 bytes "
+                            help="raw zkml-proof-envelope/v2 bytes "
                                  "(needs --registry)")
     verify.add_argument("--registry", default=None, metavar="DIR",
                         help="verifying-key registry resolving the "

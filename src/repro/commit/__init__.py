@@ -16,7 +16,6 @@ from repro.commit.merkle import MerkleTree, verify_merkle_path
 from repro.commit.scheme import (
     Commitment,
     CommitmentScheme,
-    OpeningProof,
     scheme_by_name,
 )
 from repro.commit.kzg import KZGScheme, KZGSetup
@@ -26,7 +25,6 @@ from repro.commit.transcript import Transcript
 __all__ = [
     "Commitment",
     "CommitmentScheme",
-    "OpeningProof",
     "scheme_by_name",
     "KZGScheme",
     "KZGSetup",

@@ -2,30 +2,32 @@
 
 Both backends commit by hashing the coefficient vector (binding) and open
 by revealing it (the simulated analogue of a PCS opening witness — see the
-package docstring).  What distinguishes the backends is the *modeled*
-performance envelope: proof bytes per object, MSM counts, and verifier
-work, which follow the paper's halo2 accounting.
+package docstring).  A polynomial is revealed once however many points it
+is opened at, the way halo2's multiopen argument batches queries per
+commitment.  What distinguishes the backends is the *modeled* performance
+envelope: proof bytes per object, MSM counts, and verifier work, which
+follow the paper's halo2 accounting.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.field.poly import poly_eval
 from repro.field.prime_field import PrimeField
+from repro.field.scalars import hash_bytes, poly_eval_many
 from repro.obs.stats import STATS
-
-try:  # serialization fast path for numpy-backed coefficient vectors
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Size of one commitment (a compressed curve point on BN254) in bytes.
 COMMITMENT_BYTES = 32
-#: Size of one field element in a serialized proof, in bytes.
+#: Size of one field element in the paper's modeled (BN254) proof, in
+#: bytes — a cost-model input.  The wire format writes each scalar at its
+#: field's own width (``PrimeField.scalar_bytes``).
 SCALAR_BYTES = 32
+
+#: One opening query: (index of the polynomial, evaluation point).
+Query = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -37,27 +39,6 @@ class Commitment:
     def __post_init__(self) -> None:
         if len(self.digest) != COMMITMENT_BYTES:
             raise ValueError("commitment digest must be 32 bytes")
-
-
-@dataclass(frozen=True)
-class OpeningProof:
-    """An opening of a committed polynomial at a point.
-
-    ``witness`` is the revealed coefficient vector — the simulation stand-in
-    for the KZG quotient witness / IPA folding rounds.
-    """
-
-    point: int
-    value: int
-    witness: Tuple[int, ...]
-
-
-def _serialize_coeffs(coeffs: Sequence[int]) -> bytes:
-    if _np is not None and isinstance(coeffs, _np.ndarray):
-        from repro.field import gl64
-
-        return gl64.serialize_scalars(coeffs)
-    return b"".join(c.to_bytes(32, "little") for c in coeffs)
 
 
 class CommitmentScheme:
@@ -78,56 +59,36 @@ class CommitmentScheme:
         STATS.commitments += 1
         self._check_degree(len(coeffs))
         digest = hashlib.blake2b(
-            self.name.encode() + _serialize_coeffs(coeffs), digest_size=32
+            self.name.encode() + hash_bytes(coeffs, self.field),
+            digest_size=32,
         ).digest()
         return Commitment(digest)
 
-    def open(self, coeffs: Sequence[int], point: int) -> OpeningProof:
-        """Open a committed polynomial at ``point``."""
-        STATS.openings += 1
-        if _np is not None and isinstance(coeffs, _np.ndarray):
-            # Proofs are pickled and compared byte-wise; the witness must
-            # hold plain Python ints regardless of the prover's backend.
-            coeffs = coeffs.tolist()
-        value = poly_eval(self.field, coeffs, point)
-        return OpeningProof(point=point, value=value, witness=tuple(coeffs))
+    def open_many(self, polys: Sequence, queries: Sequence[Query]
+                  ) -> List[int]:
+        """Open committed polynomials: the value of ``polys[i]`` at
+        ``point`` for each ``(i, point)`` query.
 
-    def open_rows(self, coeff_rows, points: Sequence[int]) -> list:
-        """Open many same-length committed polynomials, one point per row.
-
-        ``coeff_rows`` may be an ``(m, n)`` ``uint64`` matrix (Goldilocks),
-        in which case all ``m`` evaluations run through one vectorized
-        Estrin-style kernel, or any sequence of coefficient vectors, which
-        falls back to per-polynomial :meth:`open`.  Values and proof
-        objects are identical either way.
+        The revealed coefficient vectors themselves are the opening
+        witnesses (one per polynomial, shipped by the proof).  On
+        Goldilocks every query runs through one vectorized evaluation.
         """
-        if (
-            _np is not None
-            and isinstance(coeff_rows, _np.ndarray)
-            and coeff_rows.ndim == 2
-        ):
-            from repro.field import gl64
+        STATS.openings += len(queries)
+        return poly_eval_many(self.field, polys, queries)
 
-            if gl64.is_goldilocks(self.field.p) and coeff_rows.shape[0]:
-                values = gl64.poly_eval_rows(
-                    coeff_rows, _np.array(points, dtype=_np.uint64)
-                )
-                STATS.openings += len(points)
-                return [
-                    OpeningProof(
-                        point=int(point),
-                        value=int(value),
-                        witness=tuple(row.tolist()),
-                    )
-                    for row, point, value in zip(coeff_rows, points, values)
-                ]
-        return [self.open(row, point) for row, point in zip(coeff_rows, points)]
-
-    def verify_opening(self, commitment: Commitment, proof: OpeningProof) -> bool:
-        """Check that an opening is consistent with the commitment."""
-        if self.commit(proof.witness).digest != commitment.digest:
+    def verify_openings(self, commitments: Sequence[Commitment],
+                        polys: Sequence, queries: Sequence[Query],
+                        values: Sequence[int]) -> bool:
+        """Batch opening check: ``polys[i]`` must hash to
+        ``commitments[i]``, and each query's evaluation must equal its
+        claimed value.  Every polynomial is recommitted once and all
+        queries are evaluated in one batch."""
+        if len(commitments) != len(polys) or len(queries) != len(values):
             return False
-        return poly_eval(self.field, proof.witness, proof.point) == proof.value
+        for commitment, poly in zip(commitments, polys):
+            if self.commit(poly).digest != commitment.digest:
+                return False
+        return poly_eval_many(self.field, polys, queries) == list(values)
 
     def _check_degree(self, length: int) -> None:
         """Hook for backends with bounded setups (KZG)."""

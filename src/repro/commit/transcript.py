@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.field.prime_field import PrimeField
+from repro.field.scalars import hash_bytes
 from repro.obs.stats import STATS
 from repro.resilience import faults
 
@@ -46,9 +47,8 @@ class Transcript:
         from a loop of :meth:`append_scalar`, so the two are not
         interchangeable mid-protocol.
         """
-        payload = len(scalars).to_bytes(8, "little") + b"".join(
-            int(s).to_bytes(32, "little") for s in scalars
-        )
+        payload = len(scalars).to_bytes(8, "little") + hash_bytes(
+            scalars, self.field)
         self.append_message(label, payload)
 
     def append_commitment(self, label: bytes, digest: bytes) -> None:

@@ -1,20 +1,23 @@
-"""Canonical encoding/decoding of the ``zkml-proof-envelope/v1`` format.
+"""Canonical encoding/decoding of the ``zkml-proof-envelope/v2`` format.
 
-Wire layout (all integers little-endian)::
+Wire layout (all integers little-endian; a *scalar* is ``width`` bytes)::
 
-    [u8  len][schema id ascii]          "zkml-proof-envelope/v1"
+    [u8  len][schema id ascii]          "zkml-proof-envelope/v2"
     [u8  len][scheme ascii]             "kzg" | "ipa"
     [u8  len][model utf-8]              zoo model name
     [32B verifying-key hash]            VerifyingKey.digest()
     [16B config digest]                 envelope_config_digest(...)
+    [u8  width]                         8 (Goldilocks) | 32 (BN254)
     [u32 num instance columns]
-      per column: [u32 count][count x 32B scalar]
+      per column: [u32 count][count x width-B scalar]
     [u32 proof length][proof bytes]     repro.halo2.proof wire format
     [16B blake2b-16 checksum]           over every preceding byte
 
 The encoding is canonical: one byte string per envelope value, no
-optional fields, no padding — equal envelopes encode to equal bytes, so
-the checksum doubles as a content address.
+optional fields, no padding, every scalar ``< p`` of the field its width
+names — equal envelopes encode to equal bytes, so the checksum doubles
+as a content address.  The verifier checks the width against the
+verifying key's field (:func:`repro.envelope.verify_envelope`).
 
 The decoder is written against a hostile-input threat model (see
 ``docs/verification.md``): the total size cap is checked before the
@@ -23,8 +26,9 @@ first byte is parsed, every declared count is checked against its cap
 the checksum is verified last — a crafted envelope can carry a valid
 checksum, so caps must not wait for it.  Rejections raise typed
 :class:`~repro.resilience.errors.EnvelopeError` subclasses naming the
-violation; this module never touches field arithmetic, so a rejection
-costs no NTT/commitment work (asserted by tests via ``obs.stats``).
+violation; this module never does field arithmetic (a range check is a
+comparison), so a rejection costs no NTT/commitment work (asserted by
+tests via ``obs.stats``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import hashlib
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Tuple
 
+from repro.field.prime_field import field_by_scalar_bytes
+from repro.field.scalars import all_canonical, decode_scalars, encode_scalars
 from repro.resilience.errors import (
     EnvelopeCapError,
     EnvelopeChecksumError,
@@ -42,7 +48,7 @@ from repro.resilience.errors import (
 )
 
 __all__ = [
-    "SCHEMA_V1",
+    "SCHEMA_V2",
     "KNOWN_SCHEMES",
     "CHECKSUM_BYTES",
     "EnvelopeCaps",
@@ -52,10 +58,11 @@ __all__ = [
     "encode_envelope",
     "decode_envelope",
     "is_envelope",
+    "envelope_proof_bytes",
 ]
 
 #: The one schema id this decoder speaks.
-SCHEMA_V1 = "zkml-proof-envelope/v1"
+SCHEMA_V2 = "zkml-proof-envelope/v2"
 
 #: Commitment schemes an envelope may name.
 KNOWN_SCHEMES = ("kzg", "ipa")
@@ -63,7 +70,6 @@ KNOWN_SCHEMES = ("kzg", "ipa")
 #: Width of the trailing blake2b integrity checksum.
 CHECKSUM_BYTES = 16
 
-_SCALAR_BYTES = 32
 _VK_HASH_BYTES = 32
 _CONFIG_DIGEST_BYTES = 16
 
@@ -72,10 +78,11 @@ _CONFIG_DIGEST_BYTES = 16
 class EnvelopeCaps:
     """Hard per-envelope resource caps the decoder enforces.
 
-    Defaults are sized from the mini-scale zoo (a dlrm k=9 proof is
-    ~1.3 MB with one 512-value instance column) with generous headroom
-    for larger circuits; a verify service under attack can tighten them
-    per deployment.  Caps bound *declared* values before allocation, so
+    Defaults are sized from the mini-scale zoo (a dlrm k=9 Goldilocks
+    envelope is ~0.27 MB with one 512-value instance column, the largest
+    mini ~2.3 MB) with generous headroom for larger circuits and for
+    32-byte BN254 scalars; a verify service under attack can tighten
+    them per deployment.  Caps bound *declared* values before allocation, so
     a hostile length prefix cannot drive memory proportional to a number
     the attacker wrote.
     """
@@ -104,7 +111,10 @@ class ProofEnvelope:
     config_digest: bytes
     instance: List[List[int]]
     proof_bytes: bytes
-    schema: str = SCHEMA_V1
+    #: Wire width of every scalar (the field's ``scalar_bytes``): 8 on
+    #: Goldilocks, 32 on BN254.
+    scalar_bytes: int
+    schema: str = SCHEMA_V2
     #: Filled by :func:`decode_envelope` with the envelope's own trailing
     #: checksum (hex); ``encode()`` recomputes it either way.
     checksum: str = dataclass_field(default="", repr=False)
@@ -131,6 +141,7 @@ class ProofEnvelope:
             "model": self.model,
             "vk_hash": self.vk_hash_hex,
             "config_digest": self.config_digest_hex,
+            "scalar_bytes": self.scalar_bytes,
             "instance_columns": len(self.instance),
             "public_inputs": self.num_public_inputs(),
             "proof_bytes": len(self.proof_bytes),
@@ -162,13 +173,16 @@ def _write_str(out: bytearray, value: str, what: str) -> None:
 
 def encode_envelope(env: ProofEnvelope) -> bytes:
     """Serialize an envelope to its canonical byte string."""
-    if env.schema != SCHEMA_V1:
+    if env.schema != SCHEMA_V2:
         raise EnvelopeSchemaError("cannot encode schema %r (this writer "
-                                  "speaks %r)" % (env.schema, SCHEMA_V1))
+                                  "speaks %r)" % (env.schema, SCHEMA_V2))
     if env.scheme_name not in KNOWN_SCHEMES:
         raise EnvelopeSchemaError("unknown scheme %r (expected one of %s)"
                                   % (env.scheme_name,
                                      "/".join(KNOWN_SCHEMES)))
+    if field_by_scalar_bytes(env.scalar_bytes) is None:
+        raise EnvelopeSchemaError("unknown scalar width %r"
+                                  % (env.scalar_bytes,))
     if len(env.vk_hash) != _VK_HASH_BYTES:
         raise EnvelopeError("vk_hash must be %d bytes, got %d"
                             % (_VK_HASH_BYTES, len(env.vk_hash)))
@@ -181,25 +195,51 @@ def encode_envelope(env: ProofEnvelope) -> bytes:
     _write_str(out, env.model, "model name")
     out += env.vk_hash
     out += env.config_digest
+    out.append(env.scalar_bytes)
     out += len(env.instance).to_bytes(4, "little")
     for col in env.instance:
         out += len(col).to_bytes(4, "little")
-        for value in col:
-            out += int(value).to_bytes(_SCALAR_BYTES, "little")
+        try:
+            out += encode_scalars(col, env.scalar_bytes)
+        except OverflowError as exc:
+            raise EnvelopeError("public input does not fit a %d-byte "
+                                "scalar" % env.scalar_bytes) from exc
     out += len(env.proof_bytes).to_bytes(4, "little")
     out += env.proof_bytes
-    out += hashlib.blake2b(bytes(out), digest_size=CHECKSUM_BYTES).digest()
+    out += hashlib.blake2b(out, digest_size=CHECKSUM_BYTES).digest()
     return bytes(out)
 
 
 def is_envelope(data: bytes) -> bool:
-    """Cheap sniff: does ``data`` start with the v1 schema id?
+    """Cheap sniff: does ``data`` start with the v2 schema id?
 
     Used to route byte strings between the envelope decoder and the
-    legacy loose-proof decoder without attempting a full parse.
+    loose-proof decoder without attempting a full parse.
     """
-    prefix = bytes([len(SCHEMA_V1)]) + SCHEMA_V1.encode()
+    prefix = bytes([len(SCHEMA_V2)]) + SCHEMA_V2.encode()
     return bytes(data[: len(prefix)]) == prefix
+
+
+def envelope_proof_bytes(data: bytes) -> bytes:
+    """The proof bytes embedded in an envelope this process encoded.
+
+    Walks the header lengths without re-checking anything — for trusted
+    bytes only (e.g. a service handing out the proof slice of the
+    envelope it built); untrusted bytes go through
+    :func:`decode_envelope`.
+    """
+    pos = 0
+    for _ in range(3):  # schema id, scheme, model name
+        pos += 1 + data[pos]
+    pos += _VK_HASH_BYTES + _CONFIG_DIGEST_BYTES
+    width = data[pos]
+    num_cols = int.from_bytes(data[pos + 1 : pos + 5], "little")
+    pos += 5
+    for _ in range(num_cols):
+        count = int.from_bytes(data[pos : pos + 4], "little")
+        pos += 4 + count * width
+    proof_len = int.from_bytes(data[pos : pos + 4], "little")
+    return bytes(data[pos + 4 : pos + 4 + proof_len])
 
 
 # -- bounds-checked readers ---------------------------------------------------
@@ -248,7 +288,10 @@ def decode_envelope(data: bytes,
     2. schema id, then scheme name (:class:`EnvelopeSchemaError`);
     3. structure, with every count/size checked against its cap and the
        remaining data *before* the corresponding allocation
-       (:class:`EnvelopeCapError` / :class:`EnvelopeTruncatedError`);
+       (:class:`EnvelopeCapError` / :class:`EnvelopeTruncatedError`),
+       an unknown scalar width rejected (:class:`EnvelopeSchemaError`)
+       and every public input range-checked against the modulus its
+       width names (:class:`EnvelopeError`);
     4. the trailing checksum, last (:class:`EnvelopeChecksumError`) — a
        hostile sender can compute a valid checksum over an over-cap
        body, so caps must not hide behind it.
@@ -264,9 +307,9 @@ def decode_envelope(data: bytes,
             size=len(data), cap=caps.max_envelope_bytes)
 
     schema, pos = _read_str(data, 0, "schema id")
-    if schema != SCHEMA_V1:
+    if schema != SCHEMA_V2:
         raise EnvelopeSchemaError("unknown envelope schema %r (expected %r)"
-                                  % (schema[:64], SCHEMA_V1))
+                                  % (schema[:64], SCHEMA_V2))
     scheme_name, pos = _read_str(data, pos, "scheme")
     if scheme_name not in KNOWN_SCHEMES:
         raise EnvelopeSchemaError("unknown scheme %r (expected one of %s)"
@@ -276,6 +319,13 @@ def decode_envelope(data: bytes,
     vk_hash, pos = _read_fixed(data, pos, _VK_HASH_BYTES, "verifying-key hash")
     config_digest, pos = _read_fixed(data, pos, _CONFIG_DIGEST_BYTES,
                                      "config digest")
+
+    width_byte, pos = _read_fixed(data, pos, 1, "scalar width")
+    width = width_byte[0]
+    field = field_by_scalar_bytes(width)
+    if field is None:
+        raise EnvelopeSchemaError("unknown scalar width %d" % width,
+                                  offset=pos - 1)
 
     num_cols, pos = _read_u32(data, pos, "instance column count")
     if num_cols > caps.max_instance_columns:
@@ -297,17 +347,17 @@ def decode_envelope(data: bytes,
                 "envelope declares %d public inputs through column %d "
                 "(cap %d)" % (total_inputs, col_idx, caps.max_public_inputs),
                 count=total_inputs, cap=caps.max_public_inputs)
-        need = count * _SCALAR_BYTES
+        need = count * width
         if need > len(data) - pos:
             raise EnvelopeTruncatedError(
                 "column %d promises %d scalars but only %d bytes remain"
                 % (col_idx, count, len(data) - pos), offset=pos)
-        col = [int.from_bytes(data[pos + i * _SCALAR_BYTES
-                                   : pos + (i + 1) * _SCALAR_BYTES],
-                              "little")
-               for i in range(count)]
+        col = decode_scalars(data, pos, count, width)
+        if not all_canonical(col, field.p):
+            raise EnvelopeError("instance column %d holds a non-canonical "
+                                "scalar (>= p)" % col_idx, offset=pos)
         pos += need
-        instance.append(col)
+        instance.append(col.tolist() if width == 8 else col)
 
     proof_len, pos = _read_u32(data, pos, "proof length")
     if proof_len > caps.max_proof_bytes:
@@ -323,7 +373,7 @@ def decode_envelope(data: bytes,
     if pos != len(data):
         raise EnvelopeError("trailing bytes after envelope checksum",
                             offset=pos, length=len(data))
-    expected = hashlib.blake2b(data[: len(data) - CHECKSUM_BYTES],
+    expected = hashlib.blake2b(memoryview(data)[: len(data) - CHECKSUM_BYTES],
                                digest_size=CHECKSUM_BYTES).digest()
     if checksum != expected:
         raise EnvelopeChecksumError("envelope checksum mismatch",
@@ -337,6 +387,7 @@ def decode_envelope(data: bytes,
         config_digest=config_digest,
         instance=instance,
         proof_bytes=proof_bytes,
+        scalar_bytes=width,
         schema=schema,
         checksum=checksum.hex(),
     )

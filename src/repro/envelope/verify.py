@@ -24,8 +24,9 @@ def verify_envelope(env: ProofEnvelope, vk, field: PrimeField = GOLDILOCKS,
     equal ``vk.digest()`` and its scheme must equal ``vk.scheme_name`` —
     a mismatch is a :class:`~repro.resilience.errors.VerificationFailure`
     (the envelope is well-formed; it just isn't a proof *for this key*).
-    Only after binding passes do proof deserialization and the strict
-    verifier run.  ``strict=False`` restores the legacy boolean path.
+    Only after binding passes are the envelope's scalar width checked
+    against the key's field and the proof deserialized and strictly
+    verified.  ``strict=False`` restores the legacy boolean path.
     """
     from repro.commit import scheme_by_name
     from repro.halo2.proof import proof_from_bytes
@@ -49,6 +50,10 @@ def verify_envelope(env: ProofEnvelope, vk, field: PrimeField = GOLDILOCKS,
         return False
     scheme = scheme_by_name(env.scheme_name, field)
     try:
+        if env.scalar_bytes != vk.field.scalar_bytes:
+            raise ProofFormatError(
+                "envelope carries %d-byte scalars; the key's field %s uses %d"
+                % (env.scalar_bytes, vk.field.name, vk.field.scalar_bytes))
         proof = proof_from_bytes(env.proof_bytes)
         verify_proof_strict(vk, proof, env.instance, scheme)
     except (ProofFormatError, VerificationFailure):

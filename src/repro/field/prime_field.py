@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 
 @lru_cache(maxsize=4096)
@@ -40,6 +40,12 @@ class PrimeField:
             raise ValueError("modulus must be an odd prime")
         if (self.p - 1) % (1 << self.two_adicity):
             raise ValueError("two_adicity does not divide p - 1")
+
+    @property
+    def scalar_bytes(self) -> int:
+        """Wire width of one canonical scalar: the modulus's byte length
+        (8 for Goldilocks, 32 for BN254)."""
+        return (self.p.bit_length() + 7) // 8
 
     # -- scalar operations -------------------------------------------------
 
@@ -146,6 +152,7 @@ BN254_FR = PrimeField(
 )
 
 _FIELDS = {f.name: f for f in (GOLDILOCKS, BN254_FR)}
+_FIELDS_BY_WIDTH = {f.scalar_bytes: f for f in _FIELDS.values()}
 
 
 def field_by_name(name: str) -> PrimeField:
@@ -156,3 +163,9 @@ def field_by_name(name: str) -> PrimeField:
         raise KeyError(
             "unknown field %r; available: %s" % (name, sorted(_FIELDS))
         ) from None
+
+
+def field_by_scalar_bytes(width: int) -> Optional[PrimeField]:
+    """The predefined field whose scalars are ``width`` bytes wide, or
+    ``None`` — how a decoder maps a wire width byte to its modulus."""
+    return _FIELDS_BY_WIDTH.get(width)

@@ -8,7 +8,7 @@ recorded while laying out a circuit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.field.prime_field import PrimeField
 from repro.halo2.column import Column, ColumnType
@@ -31,7 +31,11 @@ class ConstraintSystem:
         self.num_selectors = 0
         self.gates: List[Gate] = []
         self.lookups: List[LookupArgument] = []
-        self.equality_columns: Set[Column] = set()
+        #: equality-enabled columns, as an insertion-ordered set: a dict
+        #: pickles in the same order it unpickles, so a cached or
+        #: published key round-trips to identical bytes (a ``set``'s
+        #: order can change across a round trip)
+        self.equality_columns: Dict[Column, None] = {}
 
     # -- column allocation ---------------------------------------------------
 
@@ -81,7 +85,7 @@ class ConstraintSystem:
         """Mark a column as participating in the permutation argument."""
         if column.kind == ColumnType.SELECTOR:
             raise ValueError("selector columns cannot carry copy constraints")
-        self.equality_columns.add(column)
+        self.equality_columns[column] = None
 
     # -- shape statistics (consumed by the optimizer's cost model) -------------
 

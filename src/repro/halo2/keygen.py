@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.commit.scheme import CommitmentScheme
 from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
+from repro.field.scalars import hash_bytes
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import Challenge, Constant, Expression, Ref
@@ -85,8 +86,7 @@ class VerifyingKey:
             h.update(b"vk:%d:%d:%s" % (self.k, self.max_degree, self.scheme_name.encode()))
             for col in sorted(self.fixed_polys, key=lambda c: (c.kind.value, c.index)):
                 h.update(repr(col).encode())
-                for c in self.fixed_polys[col]:
-                    h.update(c.to_bytes(32, "little"))
+                h.update(hash_bytes(self.fixed_polys[col], self.field))
             self._digest = h.digest()
         return self._digest
 

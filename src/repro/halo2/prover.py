@@ -53,7 +53,7 @@ from repro.halo2.circuit import Assignment
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA, ProvingKey
-from repro.halo2.proof import Proof
+from repro.halo2.proof import Proof, witness_vector
 from repro.obs.stats import STATS
 # leaf-module imports: repro.perf's package init pulls in the pk cache,
 # which imports repro.halo2 and would close an import cycle through here
@@ -654,33 +654,26 @@ def create_proof(
     x = transcript.challenge_nonzero(b"x")
 
     # ---- phase 4: openings -----------------------------------------------------
+    # one witness per opened polynomial, evaluated at every rotation that
+    # queries it (advice first, then each quotient piece at x)
     with timer.phase("openings"):
-        advice_openings: Dict[Tuple[int, int], "OpeningProof"] = {}
-        if use_np:
-            if vk.advice_queries:
-                qrows = np.stack(
-                    [advice_polys[col.index] for col, _ in vk.advice_queries]
-                )
-                points = [domain.rotate(x, rot) for _, rot in vk.advice_queries]
-                for (col, rot), opening in zip(
-                    vk.advice_queries, scheme.open_rows(qrows, points)
-                ):
-                    advice_openings[(col.index, rot)] = opening
-            quotient_openings = scheme.open_rows(
-                np.stack(pieces), [x] * len(pieces)
-            )
-        else:
-            for col, rot in vk.advice_queries:
-                point = domain.rotate(x, rot)
-                advice_openings[(col.index, rot)] = scheme.open(
-                    advice_polys[col.index], point
-                )
-            quotient_openings = [scheme.open(piece, x) for piece in pieces]
+        keys = sorted((col.index, rot) for col, rot in vk.advice_queries)
+        columns = sorted({col for col, _ in keys})
+        row_of = {col: i for i, col in enumerate(columns)}
+        polys = [advice_polys[col] for col in columns] + pieces
+        queries = [(row_of[col], domain.rotate(x, rot)) for col, rot in keys]
+        queries += [(len(columns) + j, x) for j in range(len(pieces))]
+        values = scheme.open_many(polys, queries)
+        width = field.scalar_bytes
+        witnesses = [witness_vector(poly, width) for poly in polys]
 
     return Proof(
+        scalar_bytes=width,
         advice_commitments=advice_commitments,
         helper_commitments=helper_commitments,
         quotient_commitments=quotient_commitments,
-        advice_openings=advice_openings,
-        quotient_openings=quotient_openings,
+        advice_witnesses=dict(zip(columns, witnesses)),
+        advice_evals=dict(zip(keys, values)),
+        quotient_witnesses=witnesses[len(columns):],
+        quotient_evals=values[len(keys):],
     )

@@ -1,10 +1,12 @@
 """Proof verification.
 
 The verifier replays the Fiat–Shamir transcript to re-derive every
-challenge, checks each opening against its commitment, evaluates the
-folded constraint expression at the challenge point ``x`` (fixed and
+challenge, checks the openings in one batch (each revealed polynomial is
+recommitted once and evaluated at all of its points together), evaluates
+the folded constraint expression at the challenge point ``x`` (fixed and
 selector polynomials straight from the verifying key, instance columns
-from the public inputs, advice from the proof's openings) and accepts iff
+from the public inputs, advice from the proof's evaluations) and accepts
+iff
 
     sum_i y^i * C_i(x)  ==  Z_H(x) * (q_0(x) + x^n q_1(x) + ...).
 
@@ -28,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.commit.scheme import CommitmentScheme
 from repro.commit.transcript import Transcript
-from repro.field.poly import poly_eval
+from repro.field.scalars import all_canonical, poly_eval_many
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import evaluate_from_openings
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA, VerifyingKey
@@ -69,23 +71,40 @@ def validate_proof_shape(
                 raise ProofFormatError("%s %d has a malformed digest"
                                        % (what, i), index=i)
 
-    if len(proof.quotient_openings) != vk.num_quotient_pieces:
-        raise ProofFormatError("expected %d quotient openings, proof has %d"
+    if proof.scalar_bytes != vk.field.scalar_bytes:
+        raise ProofFormatError("proof encodes %d-byte scalars; the key's "
+                               "field %s uses %d"
+                               % (proof.scalar_bytes, vk.field.name,
+                                  vk.field.scalar_bytes))
+    if len(proof.quotient_witnesses) != vk.num_quotient_pieces \
+            or len(proof.quotient_evals) != vk.num_quotient_pieces:
+        raise ProofFormatError("expected %d quotient openings, proof has %d "
+                               "witnesses and %d values"
                                % (vk.num_quotient_pieces,
-                                  len(proof.quotient_openings)))
+                                  len(proof.quotient_witnesses),
+                                  len(proof.quotient_evals)))
 
     max_col = cs.num_advice + vk.num_helper_advice
-    for (col, rot), opening in proof.advice_openings.items():
+    for col, witness in proof.advice_witnesses.items():
         if not (0 <= col < max_col):
-            raise ProofFormatError("advice opening names column %d (circuit "
+            raise ProofFormatError("advice witness names column %d (circuit "
                                    "has %d)" % (col, max_col), column=col)
+        _check_vector("advice witness %d" % col, witness, n, p)
+    for col, rot in proof.advice_evals:
+        if col not in proof.advice_witnesses:
+            raise ProofFormatError("advice evaluation (%d,%d) has no "
+                                   "witness" % (col, rot), column=col)
         if not (-n < rot < n):
             raise ProofFormatError("advice opening rotation %d out of range "
                                    "for n=%d" % (rot, n), column=col)
-        _check_opening_scalars("advice opening (%d,%d)" % (col, rot),
-                               opening, p)
-    for i, opening in enumerate(proof.quotient_openings):
-        _check_opening_scalars("quotient opening %d" % i, opening, p)
+    if not all_canonical(list(proof.advice_evals.values()), p):
+        raise ProofFormatError("advice evaluations hold an out-of-field "
+                               "value")
+    for i, witness in enumerate(proof.quotient_witnesses):
+        _check_vector("quotient witness %d" % i, witness, n, p)
+    if not all_canonical(proof.quotient_evals, p):
+        raise ProofFormatError("quotient evaluations hold an out-of-field "
+                               "value")
 
     if len(instance) != cs.num_instance:
         raise ProofFormatError("expected %d instance columns, got %d"
@@ -94,20 +113,18 @@ def validate_proof_shape(
         if len(col_values) != n:
             raise ProofFormatError("instance column %d has %d rows, circuit "
                                    "has %d" % (i, len(col_values), n), column=i)
-        for v in col_values:
-            if not (0 <= int(v) < p):
-                raise ProofFormatError("instance column %d holds an "
-                                       "out-of-field value" % i, column=i)
+        if not all_canonical(col_values, p):
+            raise ProofFormatError("instance column %d holds an "
+                                   "out-of-field value" % i, column=i)
 
 
-def _check_opening_scalars(what: str, opening, p: int) -> None:
-    for name, value in (("point", opening.point), ("value", opening.value)):
-        if not (0 <= int(value) < p):
-            raise ProofFormatError("%s has out-of-field %s" % (what, name))
-    for w in opening.witness:
-        if not (0 <= int(w) < p):
-            raise ProofFormatError("%s has an out-of-field witness scalar"
-                                   % what)
+def _check_vector(what: str, values, n: int, p: int) -> None:
+    """A coefficient vector: ``n`` canonical scalars."""
+    if len(values) != n:
+        raise ProofFormatError("%s has %d coefficients, circuit has %d"
+                               % (what, len(values), n))
+    if not all_canonical(values, p):
+        raise ProofFormatError("%s has an out-of-field scalar" % what)
 
 
 def verify_proof_strict(
@@ -138,6 +155,30 @@ def verify_proof_strict(
         raise VerificationFailure("proof rejected")
 
 
+def replay_transcript(vk: VerifyingKey, proof: Proof,
+                      instance: List[List[int]]):
+    """Re-derive the prover's Fiat–Shamir challenges from the proof's
+    commitments: ``({theta, beta, gamma, alpha}, y, x)``."""
+    transcript = Transcript(vk.field)
+    transcript.append_message(b"vk", vk.digest())
+    for col_values in instance:
+        transcript.append_scalar_vector(b"instance", col_values)
+    for com in proof.advice_commitments:
+        transcript.append_commitment(b"advice", com.digest)
+    challenges = {
+        THETA: transcript.challenge_scalar(b"theta"),
+        BETA: transcript.challenge_scalar(b"beta"),
+        GAMMA: transcript.challenge_scalar(b"gamma"),
+        ALPHA: transcript.challenge_scalar(b"alpha"),
+    }
+    for com in proof.helper_commitments:
+        transcript.append_commitment(b"helper", com.digest)
+    y = transcript.challenge_scalar(b"y")
+    for com in proof.quotient_commitments:
+        transcript.append_commitment(b"quotient", com.digest)
+    return challenges, y, transcript.challenge_nonzero(b"x")
+
+
 def verify_proof(
     vk: VerifyingKey,
     proof: Proof,
@@ -158,50 +199,38 @@ def verify_proof(
         return False
     if len(proof.quotient_commitments) != vk.num_quotient_pieces:
         return False
-    if len(proof.quotient_openings) != vk.num_quotient_pieces:
+    if len(proof.quotient_evals) != vk.num_quotient_pieces:
         return False
 
-    # ---- replay the transcript ---------------------------------------------
-    transcript = Transcript(field)
-    transcript.append_message(b"vk", vk.digest())
-    for col_values in instance:
-        if len(col_values) != n:
-            return False
-        transcript.append_scalar_vector(b"instance", col_values)
-    for com in proof.advice_commitments:
-        transcript.append_commitment(b"advice", com.digest)
-    challenges = {
-        THETA: transcript.challenge_scalar(b"theta"),
-        BETA: transcript.challenge_scalar(b"beta"),
-        GAMMA: transcript.challenge_scalar(b"gamma"),
-        ALPHA: transcript.challenge_scalar(b"alpha"),
-    }
-    for com in proof.helper_commitments:
-        transcript.append_commitment(b"helper", com.digest)
-    y = transcript.challenge_scalar(b"y")
-    for com in proof.quotient_commitments:
-        transcript.append_commitment(b"quotient", com.digest)
-    x = transcript.challenge_nonzero(b"x")
+    if any(len(col_values) != n for col_values in instance):
+        return False
+    challenges, y, x = replay_transcript(vk, proof, instance)
 
-    # ---- check the openings ---------------------------------------------------
-    def commitment_for(col_index: int):
-        if col_index < cs.num_advice:
-            return proof.advice_commitments[col_index]
-        return proof.helper_commitments[col_index - cs.num_advice]
-
+    # ---- check the openings: every polynomial once, all points in batch ----
     expected_queries = {(col.index, rot) for col, rot in vk.advice_queries}
-    if expected_queries != set(proof.advice_openings):
+    if expected_queries != set(proof.advice_evals):
         return False
-    for (col_index, rot), opening in proof.advice_openings.items():
-        if opening.point != domain.rotate(x, rot):
-            return False
-        if not scheme.verify_opening(commitment_for(col_index), opening):
-            return False
-    for com, opening in zip(proof.quotient_commitments, proof.quotient_openings):
-        if opening.point != x:
-            return False
-        if not scheme.verify_opening(com, opening):
-            return False
+    columns = sorted(proof.advice_witnesses)
+    if set(columns) != {col for col, _ in expected_queries}:
+        return False
+    if len(proof.quotient_witnesses) != len(proof.quotient_evals):
+        return False
+    row_of = {col: i for i, col in enumerate(columns)}
+    keys = sorted(proof.advice_evals)
+    commitments = [
+        proof.advice_commitments[col] if col < cs.num_advice
+        else proof.helper_commitments[col - cs.num_advice]
+        for col in columns
+    ] + list(proof.quotient_commitments)
+    polys = [proof.advice_witnesses[col] for col in columns]
+    polys += proof.quotient_witnesses
+    queries = [(row_of[col], domain.rotate(x, rot)) for col, rot in keys]
+    queries += [(len(columns) + i, x)
+                for i in range(len(proof.quotient_witnesses))]
+    values = [proof.advice_evals[key] for key in keys]
+    values += proof.quotient_evals
+    if not scheme.verify_openings(commitments, polys, queries, values):
+        return False
 
     # ---- evaluate the folded constraint at x -----------------------------------
     instance_polys = [domain.lagrange_to_coeff(col) for col in instance]
@@ -210,14 +239,19 @@ def verify_proof(
     refs = {
         (col, rot) for _, expr in vk.constraints for col, rot in expr.refs()
     }
+    polys, queries, pending = [], [], []
     for col, rot in refs:
-        point = domain.rotate(x, rot)
         if col.kind == ColumnType.ADVICE:
-            openings[(col, rot)] = proof.advice_openings[(col.index, rot)].value
-        elif col.kind == ColumnType.INSTANCE:
-            openings[(col, rot)] = poly_eval(field, instance_polys[col.index], point)
+            openings[(col, rot)] = proof.advice_evals[(col.index, rot)]
+            continue
+        if col.kind == ColumnType.INSTANCE:
+            polys.append(instance_polys[col.index])
         else:
-            openings[(col, rot)] = poly_eval(field, vk.fixed_polys[col], point)
+            polys.append(vk.fixed_polys[col])
+        queries.append((len(polys) - 1, domain.rotate(x, rot)))
+        pending.append((col, rot))
+    # fixed, selector and instance evaluations, all in one batch
+    openings.update(zip(pending, poly_eval_many(field, polys, queries)))
 
     folded = 0
     for _, expr in vk.constraints:
@@ -226,7 +260,7 @@ def verify_proof(
 
     x_n = field.pow(x, n)
     q_at_x = 0
-    for opening in reversed(proof.quotient_openings):
-        q_at_x = field.add(field.mul(q_at_x, x_n), opening.value)
+    for value in reversed(proof.quotient_evals):
+        q_at_x = field.add(field.mul(q_at_x, x_n), value)
 
     return folded == field.mul(domain.vanishing_eval(x), q_at_x)

@@ -29,6 +29,7 @@ the caps must reject before the checksum ever gets a vote.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -171,8 +172,9 @@ def _fix_checksum(body: bytes) -> bytes:
 def _mutate_envelope(data: bytes, rng: random.Random,
                      counts_offset: int) -> Tuple[bytes, str]:
     """One seeded envelope mutation; ``counts_offset`` is the byte
-    offset of the instance-column-count field (header sizes vary with
-    the model name, so the caller measures it once)."""
+    offset of the instance-column-count field, right after the scalar
+    width byte (header sizes vary with the model name, so the caller
+    measures it once)."""
     kind = rng.randrange(6)
     if kind == 0:  # truncation
         pos = rng.randrange(len(data))
@@ -190,8 +192,11 @@ def _mutate_envelope(data: bytes, rng: random.Random,
         return bytes(out), "checksum-tamper@%d" % pos
     if kind == 3:  # schema-id confusion, checksum fixed up to be valid
         out = bytearray(data[: len(data) - _CHECKSUM_BYTES])
-        # the schema string starts at offset 1; flip its version digit
-        out[1 + out[0] - 1] = ord("0") + rng.randrange(2, 10)
+        # the schema string runs from offset 1 to out[0]; change its
+        # last byte, the version digit
+        digit = out[0]
+        others = [d for d in b"0123456789" if d != out[digit]]
+        out[digit] = others[rng.randrange(len(others))]
         return _fix_checksum(bytes(out)), "schema-confusion"
     if kind == 4:  # count-cap overflow: forge a huge count, valid checksum
         out = bytearray(data[: len(data) - _CHECKSUM_BYTES])
@@ -204,9 +209,11 @@ def _mutate_envelope(data: bytes, rng: random.Random,
     # proof bytes) — the model-name/config-digest metadata is bound by
     # the registry cross-check, which the in-process checker lacks.
     out = bytearray(data[: len(data) - _CHECKSUM_BYTES])
-    vk_hash_start = counts_offset - 48  # 32B vk hash + 16B config digest
+    # 32B vk hash + 16B config digest + the 1B scalar width
+    vk_hash_start = counts_offset - 49
+    digest_start = vk_hash_start + 32
     pos = vk_hash_start + rng.randrange(len(out) - vk_hash_start - 16)
-    if counts_offset - 16 <= pos < counts_offset:
+    if digest_start <= pos < digest_start + 16:
         pos += 16  # skip the config digest (registry-bound, not proof-bound)
     out[pos] ^= rng.randrange(1, 256)
     return _fix_checksum(bytes(out)), "body-flip@%d" % pos
@@ -256,21 +263,17 @@ def run_envelope_fuzz(envelope_bytes: bytes,
 
     pristine = decode_envelope(bytes(envelope_bytes))
     # offset of the instance-column-count u32 (after the three
-    # length-prefixed strings and the two fixed digests)
+    # length-prefixed strings, the two fixed digests and the width byte)
     counts_offset = (1 + len(pristine.schema.encode())
                      + 1 + len(pristine.scheme_name.encode())
-                     + 1 + len(pristine.model.encode()) + 32 + 16)
+                     + 1 + len(pristine.model.encode()) + 32 + 16 + 1)
     rng = random.Random(seed)
     report = FuzzReport()
     for i in range(iterations):
         if tamper_instance_every and i % tamper_instance_every == \
                 tamper_instance_every - 1:
             tampered, tag = _tamper_instance(pristine.instance, rng)
-            mutant_env = type(pristine)(
-                scheme_name=pristine.scheme_name, model=pristine.model,
-                vk_hash=pristine.vk_hash,
-                config_digest=pristine.config_digest,
-                instance=tampered, proof_bytes=pristine.proof_bytes)
+            mutant_env = dataclasses.replace(pristine, instance=tampered)
             mutant, what = mutant_env.encode(), "tamper:%s" % tag
         else:
             mutant, what = _mutate_envelope(bytes(envelope_bytes), rng,

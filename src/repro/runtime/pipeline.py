@@ -102,21 +102,14 @@ class ProveResult:
     #: Lookup-table bit width the circuit was built with (part of the
     #: envelope's config digest).
     lookup_bits: Optional[int] = None
+    #: ``proof_to_bytes(proof)``, filled by the first :meth:`envelope`.
+    _proof_bytes: Optional[bytes] = dataclass_field(
+        default=None, repr=False, compare=False)
 
     def envelope(self) -> ProofEnvelope:
-        """Package this result as a v1 proof envelope (the consumer-facing
+        """Package this result as a v2 proof envelope (the consumer-facing
         format — see :mod:`repro.envelope`)."""
-        from repro.halo2.proof import proof_to_bytes
-
-        return ProofEnvelope(
-            scheme_name=self.scheme_name,
-            model=self.spec_name,
-            vk_hash=self.vk.digest(),
-            config_digest=envelope_config_digest(
-                self.num_cols, self.scale_bits, self.k, self.lookup_bits),
-            instance=self.instance,
-            proof_bytes=proof_to_bytes(self.proof),
-        )
+        return _envelope(self)
 
     def envelope_bytes(self) -> bytes:
         """The canonical serialized envelope (what ``zkml prove`` emits)."""
@@ -138,6 +131,26 @@ class ProveResult:
         """Cost-model counts vs the counts this run actually performed."""
         return obs_metrics.predicted_vs_actual(self.predicted_counts,
                                                self.observed_counts)
+
+
+def _envelope(result) -> ProofEnvelope:
+    """A proving result's envelope; the proof is serialized once per
+    result and reused by every later call."""
+    if result._proof_bytes is None:
+        from repro.halo2.proof import proof_to_bytes
+
+        result._proof_bytes = proof_to_bytes(result.proof)
+    return ProofEnvelope(
+        scheme_name=result.scheme_name,
+        model=result.spec_name,
+        vk_hash=result.vk.digest(),
+        config_digest=envelope_config_digest(
+            result.num_cols, result.scale_bits, result.k,
+            result.lookup_bits),
+        instance=result.instance,
+        proof_bytes=result._proof_bytes,
+        scalar_bytes=result.vk.field.scalar_bytes,
+    )
 
 
 def _normalize_plan(plan) -> LayoutPlan:
@@ -359,7 +372,7 @@ def verify_model_proof(
         else:
             warnings.warn(
                 "verifying loose proof bytes is deprecated; wrap proofs "
-                "in a zkml-proof-envelope/v1 (repro.envelope) instead",
+                "in a zkml-proof-envelope/v2 (repro.envelope) instead",
                 DeprecationWarning, stacklevel=2)
             proof = proof_from_bytes(data)
     if isinstance(proof, ProofEnvelope):
@@ -406,21 +419,14 @@ class BatchProveResult:
     num_cols: int = 10
     scale_bits: int = 5
     lookup_bits: Optional[int] = None
+    #: ``proof_to_bytes(proof)``, filled by the first :meth:`envelope`.
+    _proof_bytes: Optional[bytes] = dataclass_field(
+        default=None, repr=False, compare=False)
 
     def envelope(self) -> ProofEnvelope:
-        """Package the batch proof as a v1 envelope (one envelope covers
+        """Package the batch proof as a v2 envelope (one envelope covers
         the whole batch — its instance holds every slot's columns)."""
-        from repro.halo2.proof import proof_to_bytes
-
-        return ProofEnvelope(
-            scheme_name=self.scheme_name,
-            model=self.spec_name,
-            vk_hash=self.vk.digest(),
-            config_digest=envelope_config_digest(
-                self.num_cols, self.scale_bits, self.k, self.lookup_bits),
-            instance=self.instance,
-            proof_bytes=proof_to_bytes(self.proof),
-        )
+        return _envelope(self)
 
     def envelope_bytes(self) -> bytes:
         return self.envelope().encode()

@@ -69,7 +69,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.halo2.proof import proof_to_bytes
+from repro.envelope import envelope_proof_bytes
 from repro.model.spec import ModelSpec
 from repro.obs import log as obs_log
 from repro.obs.cluster import fold_worker_result
@@ -235,8 +235,7 @@ class ProofResponse:
     model: str
     scheme_name: str
     verified: bool
-    proof_bytes: bytes
-    #: The batch proof packaged as a serialized v1 envelope (shared by
+    #: The batch proof packaged as a serialized v2 envelope (shared by
     #: every request in the batch; built once per batch).
     envelope_bytes: bytes
     instance: List[List[int]]
@@ -252,6 +251,11 @@ class ProofResponse:
     slot_prove_seconds: float
     keygen_seconds: float
     keygen_cache_hit: bool
+
+    @property
+    def proof_bytes(self) -> bytes:
+        """The serialized batch proof: the proof slice of the envelope."""
+        return envelope_proof_bytes(self.envelope_bytes)
 
 
 class ProvingService:
@@ -762,10 +766,8 @@ class ProvingService:
         # objects) or a worker's BatchResult (cluster path: bytes already
         # serialized on the worker side); both carry the same fields
         if isinstance(result, BatchResult):
-            proof_bytes = result.proof_bytes
             envelope_bytes = result.envelope_bytes
         else:
-            proof_bytes = proof_to_bytes(result.proof)
             envelope_bytes = result.envelope_bytes()
         ema = self._ema_prove_seconds
         self._ema_prove_seconds = (batch_seconds if ema is None
@@ -815,7 +817,6 @@ class ProvingService:
                 model=key.model,
                 scheme_name=key.scheme_name,
                 verified=verified,
-                proof_bytes=proof_bytes,
                 envelope_bytes=envelope_bytes,
                 instance=result.instance,
                 outputs=result.outputs[index],

@@ -5,7 +5,7 @@ takes :class:`BatchJob` messages off its private job queue, proves them
 with :func:`~repro.runtime.pipeline.prove_batch`, strict-verifies the
 proof, and ships a :class:`BatchResult` back on the shared result queue.
 Everything that crosses the process boundary is a plain picklable
-dataclass — proof *bytes*, not live :class:`~repro.halo2.Proof` objects,
+dataclass — envelope *bytes*, not live :class:`~repro.halo2.Proof` objects,
 so the scheduler side never needs to touch prover state.
 
 Workers attach the shared :class:`~repro.perf.pkcache.DiskPKCache`
@@ -81,7 +81,8 @@ class BatchResult:
     error: str = ""
     detail: str = ""
     verified: bool = False
-    proof_bytes: bytes = b""
+    #: The batch proof as a serialized envelope — the only copy of the
+    #: proof that crosses the process boundary.
     envelope_bytes: bytes = b""
     instance: List[List[int]] = dataclass_field(default_factory=list)
     #: Per-occupied-slot output arrays (``occupancy`` entries).
@@ -121,7 +122,6 @@ def prove_job(job: BatchJob, worker_id: int,
 
 def _prove_job(job: BatchJob, worker_id: int,
                verify_proofs: bool) -> BatchResult:
-    from repro.halo2.proof import proof_to_bytes
     from repro.runtime.pipeline import prove_batch
 
     pid = os.getpid()
@@ -142,7 +142,6 @@ def _prove_job(job: BatchJob, worker_id: int,
             worker_id=worker_id,
             pid=pid,
             verified=verified,
-            proof_bytes=proof_to_bytes(result.proof),
             envelope_bytes=result.envelope_bytes(),
             instance=result.instance,
             outputs=result.outputs[:job.occupancy],

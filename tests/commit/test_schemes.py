@@ -20,24 +20,26 @@ class TestCommitOpenVerify:
     def test_honest_opening_verifies(self, scheme):
         coeffs = [random.randrange(F.p) for _ in range(16)]
         com = scheme.commit(coeffs)
-        proof = scheme.open(coeffs, 12345)
-        assert scheme.verify_opening(com, proof)
+        queries = [(0, 12345), (0, 7)]
+        values = scheme.open_many([coeffs], queries)
+        assert scheme.verify_openings([com], [coeffs], queries, values)
 
     def test_wrong_value_rejected(self, scheme):
         coeffs = [random.randrange(F.p) for _ in range(16)]
         com = scheme.commit(coeffs)
-        proof = scheme.open(coeffs, 12345)
-        bad = type(proof)(point=proof.point, value=F.add(proof.value, 1),
-                          witness=proof.witness)
-        assert not scheme.verify_opening(com, bad)
+        queries = [(0, 12345)]
+        values = scheme.open_many([coeffs], queries)
+        bad = [F.add(values[0], 1)]
+        assert not scheme.verify_openings([com], [coeffs], queries, bad)
 
     def test_wrong_polynomial_rejected(self, scheme):
         coeffs = [random.randrange(F.p) for _ in range(16)]
         other = list(coeffs)
         other[3] = F.add(other[3], 1)
         com = scheme.commit(coeffs)
-        proof = scheme.open(other, 7)
-        assert not scheme.verify_opening(com, proof)
+        queries = [(0, 7)]
+        values = scheme.open_many([other], queries)
+        assert not scheme.verify_openings([com], [other], queries, values)
 
     def test_commitment_is_deterministic(self, scheme):
         coeffs = [1, 2, 3]

@@ -16,8 +16,11 @@ from repro.halo2 import (
     Ref,
     create_proof,
     keygen,
+    proof_from_bytes,
+    proof_to_bytes,
     verify_proof,
 )
+from repro.halo2.verifier import verify_proof_strict
 from repro.tensor import Entry
 
 
@@ -41,6 +44,12 @@ def test_plain_circuit_over_bn254(backend):
     pk, vk = keygen(cs, asg, scheme)
     proof = create_proof(pk, asg, scheme)
     assert verify_proof(vk, proof, asg.instance_values(), scheme)
+
+    # the wire format carries 32-byte scalars and round-trips exactly
+    data = proof_to_bytes(proof)
+    again = proof_from_bytes(data)
+    assert again.scalar_bytes == 32 and proof_to_bytes(again) == data
+    verify_proof_strict(vk, again, asg.instance_values(), scheme)
 
     # and a violated gate is rejected
     asg.assign_advice(c, 0, 43)

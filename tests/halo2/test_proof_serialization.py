@@ -36,11 +36,17 @@ class TestRoundTrip:
     def test_round_trip_is_identity(self, proved):
         _, _, proof, _ = proved
         again = proof_from_bytes(proof_to_bytes(proof))
+        assert again.scalar_bytes == proof.scalar_bytes == F.scalar_bytes
         assert again.advice_commitments == proof.advice_commitments
         assert again.helper_commitments == proof.helper_commitments
         assert again.quotient_commitments == proof.quotient_commitments
-        assert again.advice_openings == proof.advice_openings
-        assert again.quotient_openings == proof.quotient_openings
+        assert again.advice_evals == proof.advice_evals
+        assert again.quotient_evals == proof.quotient_evals
+        assert again.advice_witnesses.keys() == proof.advice_witnesses.keys()
+        for col, witness in proof.advice_witnesses.items():
+            assert again.advice_witnesses[col].tolist() == witness.tolist()
+        assert [w.tolist() for w in again.quotient_witnesses] \
+            == [w.tolist() for w in proof.quotient_witnesses]
 
     def test_deterministic(self, proved):
         _, _, proof, _ = proved

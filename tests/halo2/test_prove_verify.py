@@ -82,19 +82,15 @@ class TestTamperedProofs:
 
     def test_tampered_opening_value_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        key = next(iter(proof.advice_openings))
-        opening = proof.advice_openings[key]
-        proof.advice_openings[key] = type(opening)(
-            point=opening.point,
-            value=F.add(opening.value, 1),
-            witness=opening.witness,
-        )
+        key = next(iter(proof.advice_evals))
+        proof.advice_evals[key] = F.add(proof.advice_evals[key], 1)
         assert not verify_proof(vk, proof, asg.instance_values(), scheme)
 
     def test_dropped_quotient_piece_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
         proof.quotient_commitments = proof.quotient_commitments[:-1]
-        proof.quotient_openings = proof.quotient_openings[:-1]
+        proof.quotient_witnesses = proof.quotient_witnesses[:-1]
+        proof.quotient_evals = proof.quotient_evals[:-1]
         assert not verify_proof(vk, proof, asg.instance_values(), scheme)
 
 

@@ -12,6 +12,7 @@ from repro.field import GOLDILOCKS
 from repro.field.poly import poly_eval, poly_trim
 from repro.halo2 import create_proof, keygen
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
+from repro.halo2.verifier import replay_transcript
 
 from tests.halo2.circuits import mul_circuit, range_check_circuit, relu_lookup_circuit
 
@@ -26,6 +27,11 @@ def proof_for(builder_fn, **kw):
     return cs, asg, pk, vk, proof
 
 
+def _witness(proof, col):
+    """The opened coefficient vector of ``col``, as Python ints."""
+    return proof.advice_witnesses[col.index].tolist()
+
+
 class TestLookupHelpers:
     def test_multiplicities_count_inputs(self):
         cs, asg, pk, vk, proof = proof_for(
@@ -34,9 +40,9 @@ class TestLookupHelpers:
         helpers = vk.lookups[0]
         m_index = helpers.m_col.index - cs.num_advice
         # helper columns are committed in sorted column order; recover the
-        # m column's witness from its opening
-        m_opening = proof.advice_openings[(helpers.m_col.index, 0)]
-        m_evals = vk.domain.coeff_to_lagrange(list(m_opening.witness))
+        # m column's evaluations from its opening witness
+        m_evals = vk.domain.coeff_to_lagrange(
+            _witness(proof, helpers.m_col))
         # table row 3 holds value 3 (hit 3 times); row 7 holds 7 (hit once);
         # row 0 holds 0 (hit by all unassigned rows)
         assert m_evals[3] == 3
@@ -46,8 +52,8 @@ class TestLookupHelpers:
     def test_lookup_sum_telescopes_to_zero(self):
         cs, asg, pk, vk, proof = proof_for(relu_lookup_circuit)
         helpers = vk.lookups[0]
-        h_opening = proof.advice_openings[(helpers.h_col.index, 0)]
-        h_evals = vk.domain.coeff_to_lagrange(list(h_opening.witness))
+        h_evals = vk.domain.coeff_to_lagrange(
+            _witness(proof, helpers.h_col))
         total = 0
         for v in h_evals:
             total = F.add(total, v)
@@ -56,10 +62,8 @@ class TestLookupHelpers:
     def test_s_column_is_prefix_sum(self):
         cs, asg, pk, vk, proof = proof_for(range_check_circuit)
         helpers = vk.lookups[0]
-        h = vk.domain.coeff_to_lagrange(
-            list(proof.advice_openings[(helpers.h_col.index, 0)].witness))
-        s = vk.domain.coeff_to_lagrange(
-            list(proof.advice_openings[(helpers.s_col.index, 0)].witness))
+        h = vk.domain.coeff_to_lagrange(_witness(proof, helpers.h_col))
+        s = vk.domain.coeff_to_lagrange(_witness(proof, helpers.s_col))
         assert s[0] == 0
         acc = 0
         for row in range(asg.n - 1):
@@ -73,8 +77,7 @@ class TestPermutationHelpers:
         perm = vk.permutation
         total = 0
         for h_col in perm.helper_cols:
-            h = vk.domain.coeff_to_lagrange(
-                list(proof.advice_openings[(h_col.index, 0)].witness))
+            h = vk.domain.coeff_to_lagrange(_witness(proof, h_col))
             for v in h:
                 total = F.add(total, v)
         assert total == 0
@@ -99,8 +102,8 @@ class TestQuotient:
         cs, asg, pk, vk, proof = proof_for(mul_circuit)
         # the last quotient piece of an honest proof is not all zeros only
         # if the constraint degree demands it; every piece has degree < n
-        for opening in proof.quotient_openings:
-            assert len(opening.witness) <= vk.n
+        for witness in proof.quotient_witnesses:
+            assert len(witness) <= vk.n
 
     def test_folded_identity_at_random_point(self):
         import random
@@ -109,14 +112,15 @@ class TestQuotient:
         # reconstruct q(x) from the openings and check C(x) = Z_H(x) q(x)
         # at the transcript point — this is exactly what the verifier does,
         # but here we recompute C from the full witness polynomials
-        x = proof.quotient_openings[0].point
+        _, _, x = replay_transcript(vk, proof, asg.instance_values())
         x_n = F.pow(x, vk.n)
         q = 0
-        for opening in reversed(proof.quotient_openings):
-            assert poly_eval(F, opening.witness, x) == opening.value
-            q = F.add(F.mul(q, x_n), opening.value)
+        for witness, value in zip(reversed(proof.quotient_witnesses),
+                                  reversed(proof.quotient_evals)):
+            assert poly_eval(F, witness.tolist(), x) == value
+            q = F.add(F.mul(q, x_n), value)
         z_h = vk.domain.vanishing_eval(x)
         assert z_h != 0  # x is outside the domain w.h.p.
         # the verifier accepted in other tests; here confirm the algebra is
         # nontrivial (a circuit with constraints has a nonzero quotient)
-        assert any(poly_trim(list(o.witness)) for o in proof.quotient_openings)
+        assert any(poly_trim(w.tolist()) for w in proof.quotient_witnesses)

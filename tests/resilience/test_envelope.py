@@ -17,7 +17,7 @@ import pytest
 
 from repro.envelope import (
     DEFAULT_CAPS,
-    SCHEMA_V1,
+    SCHEMA_V2,
     EnvelopeCaps,
     ProofEnvelope,
     decode_envelope,
@@ -81,6 +81,7 @@ class TestRoundTrip:
         assert again.scheme_name == envelope.scheme_name
         assert again.vk_hash == envelope.vk_hash
         assert again.config_digest == envelope.config_digest
+        assert again.scalar_bytes == envelope.scalar_bytes == 8
         assert again.instance == [list(col) for col in envelope.instance]
         assert again.proof_bytes == envelope.proof_bytes
 
@@ -105,7 +106,7 @@ class TestRoundTrip:
         import json
 
         doc = envelope.describe()
-        assert doc["schema"] == SCHEMA_V1
+        assert doc["schema"] == SCHEMA_V2
         assert doc["public_inputs"] == envelope.num_public_inputs()
         json.dumps(doc)
 
@@ -126,7 +127,8 @@ class TestDecoderCapEdges:
         empty = ProofEnvelope(
             scheme_name=envelope.scheme_name, model=envelope.model,
             vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
-            instance=[], proof_bytes=envelope.proof_bytes)
+            instance=[], proof_bytes=envelope.proof_bytes,
+            scalar_bytes=envelope.scalar_bytes)
         exc = _reject(empty.encode(), EnvelopeError)
         assert not isinstance(exc, (EnvelopeCapError, EnvelopeSchemaError,
                                     EnvelopeTruncatedError,
@@ -158,7 +160,8 @@ class TestDecoderCapEdges:
         hollow = ProofEnvelope(
             scheme_name=envelope.scheme_name, model=envelope.model,
             vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
-            instance=envelope.instance, proof_bytes=b"")
+            instance=envelope.instance, proof_bytes=b"",
+            scalar_bytes=envelope.scalar_bytes)
         exc = _reject(hollow.encode(), EnvelopeError)
         assert "empty proof" in str(exc)
 
@@ -174,8 +177,8 @@ class TestDecoderCapEdges:
         # what rejects it, proving caps do not hide behind integrity
         import hashlib
 
-        header = (1 + len(SCHEMA_V1) + 1 + len(envelope.scheme_name)
-                  + 1 + len(envelope.model) + 32 + 16)
+        header = (1 + len(SCHEMA_V2) + 1 + len(envelope.scheme_name)
+                  + 1 + len(envelope.model) + 32 + 16 + 1)
         forged = bytearray(encoded[:-16])
         forged[header + 4 : header + 8] = (1 << 31).to_bytes(4, "little")
         forged += hashlib.blake2b(bytes(forged), digest_size=16).digest()

@@ -48,10 +48,11 @@ class TestDeserializerBounds:
             proof_from_bytes(data)
 
     def test_huge_count_rejected_before_allocation(self, proven):
-        # forge a 4 GiB advice-commitment count right after the magic: the
-        # reader must bail on the length prefix, not loop or allocate
+        # forge a 4 GiB advice-commitment count right after the magic,
+        # width byte and witness length: the reader must bail on the
+        # length prefix, not loop or allocate
         data = bytearray(proof_to_bytes(proven.proof))
-        data[8:12] = (0xFFFFFFFF).to_bytes(4, "little")
+        data[13:17] = (0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(ProofFormatError):
             proof_from_bytes(bytes(data))
 
@@ -71,12 +72,10 @@ class TestShapeValidation:
 
     def test_out_of_field_scalar_rejected(self, proven):
         import copy
-        import dataclasses
 
         mutant = copy.deepcopy(proven.proof)
-        key, opening = next(iter(mutant.advice_openings.items()))
-        mutant.advice_openings[key] = dataclasses.replace(
-            opening, value=proven.vk.field.p)  # == p: out of field
+        key = next(iter(mutant.advice_evals))
+        mutant.advice_evals[key] = proven.vk.field.p  # == p: out of field
         with pytest.raises(ProofFormatError, match="out-of-field"):
             validate_proof_shape(proven.vk, mutant, proven.instance)
 
